@@ -89,16 +89,6 @@ let no_check_arg =
   in
   Arg.(value & flag & info [ "no-check" ] ~doc)
 
-let prune_bounds_arg =
-  let doc =
-    "Let the search skip candidates the interval bounds analysis proves \
-     cannot beat the incumbent or meet the requirement. The chosen design \
-     and frontier are identical to an unpruned run; pruned candidates \
-     appear in provenance ($(b,aved explain)) with a machine-checkable \
-     certificate. Ignored when spare-active modes are explored."
-  in
-  Arg.(value & flag & info [ "prune-bounds" ] ~doc)
-
 let trace_file_arg =
   let doc =
     "Record span timings and write them to $(docv) as Chrome trace-event \
@@ -182,8 +172,7 @@ let with_telemetry ?(stats = false) ?trace f =
    the memoized analytic engine. Validated here rather than in the
    cmdliner converter so every command reports bad values the same way
    (exit 1, one line on stderr). *)
-let search_config ?(base = Aved_search.Search_config.default)
-    ?(prune_bounds = false) jobs =
+let search_config ?(base = Aved_search.Search_config.default) jobs =
   let jobs =
     match jobs with
     | Some j when j < 1 ->
@@ -193,5 +182,4 @@ let search_config ?(base = Aved_search.Search_config.default)
   in
   base
   |> Aved_search.Search_config.with_jobs jobs
-  |> Aved_search.Search_config.with_prune_bounds prune_bounds
   |> Aved_search.Search_config.with_memo

@@ -39,16 +39,11 @@ type class_interval = {
 }
 
 type analyzer = {
-  an_tier : string;
-  an_resource : string;
   an_scope : Model.Service.failure_scope;
   an_classes : class_interval list;
   an_memo : (int * int * int, Interval.t) Hashtbl.t;
-  an_lock : Mutex.t; (* the search consults one analyzer from pool workers *)
+  an_lock : Mutex.t; (* guards [an_memo] against concurrent callers *)
 }
-
-let tier_name an = an.an_tier
-let resource_name an = an.an_resource
 
 (* Hull of a repair mechanism's mttr over its whole settings grid;
    [None] when any setting yields no mttr (the concrete build would
@@ -85,7 +80,7 @@ let repair_interval ~infra ~resource_mechanisms
 (* Mirrors [Tier_model.classes_of] with [spare_active = []] (every
    component's startup is on the failover path) and the repair time
    hulled over settings. *)
-let analyzer ~infra ~tier_name ~(option : Model.Service.resource_option) =
+let analyzer ~infra ~(option : Model.Service.resource_option) =
   match Model.Infrastructure.find_resource infra option.resource with
   | None -> None
   | Some resource -> (
@@ -130,8 +125,6 @@ let analyzer ~infra ~tier_name ~(option : Model.Service.resource_option) =
       else
         Some
           {
-            an_tier = tier_name;
-            an_resource = option.resource;
             an_scope = option.failure_scope;
             an_classes = List.filter_map Fun.id classes;
             an_memo = Hashtbl.create 32;
@@ -457,7 +450,7 @@ let region_triples ~infra ~tier_name ~(option : Model.Service.resource_option)
 
 let analyze_option ~infra ~tier_name ~(option : Model.Service.resource_option)
     ~demand ~budget_fraction ?(max_extra = 8) ?(max_spares = 3) () =
-  match analyzer ~infra ~tier_name ~option with
+  match analyzer ~infra ~option with
   | None ->
       unanalyzable ~tier_name ~option
         "outside the analyzable fragment (a repair mechanism provides no \

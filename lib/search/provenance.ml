@@ -8,7 +8,6 @@ type fate =
   | Over_downtime_budget of { excess : Duration.t }
   | Over_cost_cap of { excess : Money.t }
   | Rejected_by_model of { reason : string }
-  | Pruned_by_bound of { certificate : Aved_check.Certificate.t }
 
 type record = {
   tier : string;
@@ -63,7 +62,6 @@ let fate_label = function
   | Over_downtime_budget _ -> "over_downtime_budget"
   | Over_cost_cap _ -> "over_cost_cap"
   | Rejected_by_model _ -> "rejected_by_model"
-  | Pruned_by_bound _ -> "pruned_by_bound"
 
 let records_noted = Telemetry.Counter.make "explain.records.noted"
 let records_dropped = Telemetry.Counter.make "explain.records.dropped"

@@ -107,6 +107,19 @@ let test_conflicting_requirements () =
   Alcotest.(check int) "exit status" 1 status;
   Alcotest.(check bool) "one-line stderr" true (one_line stderr)
 
+(* The flag was removed along with certified search pruning; old
+   scripts get a usage error naming it, not a silent no-op. *)
+let test_removed_flag () =
+  let status, _, stderr =
+    run_aved
+      (Printf.sprintf
+         "design -i %s -s %s --load 1000 --downtime 100 --prune-bounds"
+         (spec "infrastructure.spec") (spec "ecommerce.spec"))
+  in
+  Alcotest.(check int) "cmdliner usage error" 124 status;
+  Alcotest.(check bool) "names the option" true
+    (contains stderr "--prune-bounds")
+
 let test_stats_and_trace () =
   let trace = Filename.temp_file "aved_trace" ".json" in
   let status, stdout, stderr =
@@ -212,6 +225,8 @@ let () =
           Alcotest.test_case "--jobs 0" `Quick test_jobs_zero;
           Alcotest.test_case "conflicting requirements" `Quick
             test_conflicting_requirements;
+          Alcotest.test_case "removed search-pruning flag" `Quick
+            test_removed_flag;
         ] );
       ( "telemetry",
         [
