@@ -78,7 +78,6 @@ let json_search_benchmark () =
     |> Search.Search_config.with_memo
   in
   let measure name f =
-    Search.Eval_cache.reset_downtime_counters ();
     let t = Telemetry.create () in
     Telemetry.install t;
     let t0 = Unix.gettimeofday () in

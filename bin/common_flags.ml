@@ -168,10 +168,14 @@ let with_telemetry ?(stats = false) ?trace f =
     code
   end
 
-(* Search configuration of every command: the requested parallelism plus
-   the memoized analytic engine. Validated here rather than in the
-   cmdliner converter so every command reports bad values the same way
-   (exit 1, one line on stderr). *)
+(* Search configuration of every command: the requested parallelism on
+   the plain analytic engine. A one-shot run gains nothing from the
+   process-wide memo — the per-domain downtime tables of
+   [Aved_search.Eval_cache] already remove its duplicate work — so only
+   the serve daemon, whose requests share results, builds one.
+   Validated here rather than in the cmdliner converter so every
+   command reports bad values the same way (exit 1, one line on
+   stderr). *)
 let search_config ?(base = Aved_search.Search_config.default) jobs =
   let jobs =
     match jobs with
@@ -180,6 +184,4 @@ let search_config ?(base = Aved_search.Search_config.default) jobs =
     | Some j -> j
     | None -> Domain.recommended_domain_count ()
   in
-  base
-  |> Aved_search.Search_config.with_jobs jobs
-  |> Aved_search.Search_config.with_memo
+  Aved_search.Search_config.with_jobs jobs base

@@ -27,11 +27,19 @@ val to_list : t -> int list
 val mem : t -> int -> bool
 val min_value : t -> int
 val max_value : t -> int
+(** [mem], [min_value], [max_value] and {!next_above} are computed from
+    the range's shape; none of them builds the member list. *)
 
 val next_above : t -> int -> int option
-(** [next_above t n] is the smallest member [>= n], if any — the search
-    uses this to round a performance-derived minimum up to an admissible
-    count. *)
+(** [next_above t n] is the smallest member [>= n], if any. *)
+
+val find_first : t -> (int -> bool) -> int option
+(** [find_first t p] is the smallest member satisfying [p]. Members are
+    visited in increasing order and the walk stops at the first hit. *)
+
+val members : t -> lo:int -> hi:int -> int list
+(** The members within [[lo, hi]], in increasing order, visiting only
+    those members (plus the walk to [lo] of a geometric range). *)
 
 val of_string : string -> t
 (** Parses [[1]], [[1-1000,+1]], [[2-1024,*2]], or [[1,2,5]].

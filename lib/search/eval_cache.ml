@@ -105,22 +105,8 @@ let state_key : state Domain.DLS.key =
         downtimes = Hashtbl.create 16;
       })
 
-let fresh_downtimes = Atomic.make 0
-let reused_downtimes = Atomic.make 0
 let tm_fresh = Telemetry.Counter.make "search.eval.downtime.fresh"
 let tm_reused = Telemetry.Counter.make "search.eval.downtime.reused"
-
-type counters = { fresh : int; reused : int }
-
-let downtime_counters () =
-  {
-    fresh = Atomic.get fresh_downtimes;
-    reused = Atomic.get reused_downtimes;
-  }
-
-let reset_downtime_counters () =
-  Atomic.set fresh_downtimes 0;
-  Atomic.set reused_downtimes 0
 
 let reset () =
   let state = Domain.DLS.get state_key in
@@ -259,7 +245,6 @@ let downtime_fraction entry engine (m : Avail.Tier_model.t) =
       let key = (m.n_active, m.n_min, m.n_spare) in
       match Hashtbl.find_opt table key with
       | Some f ->
-          Atomic.incr reused_downtimes;
           if Telemetry.enabled () then Telemetry.Counter.incr tm_reused;
           f
       | None ->
@@ -267,7 +252,6 @@ let downtime_fraction entry engine (m : Avail.Tier_model.t) =
             Telemetry.with_trace_span "search.eval.downtime" (fun () ->
                 Avail.Evaluate.tier_downtime_fraction engine m)
           in
-          Atomic.incr fresh_downtimes;
           if Telemetry.enabled () then Telemetry.Counter.incr tm_fresh;
           Hashtbl.add table key f;
           f)

@@ -19,15 +19,6 @@
 
 type entry
 
-val entry :
-  infra:Aved_model.Infrastructure.t ->
-  tier_name:string ->
-  option:Aved_model.Service.resource_option ->
-  settings:(string * Aved_model.Mechanism.setting) list ->
-  spare_active:string list ->
-  entry
-(** Get-or-create the calling domain's entry for the combination. *)
-
 val settings_product :
   Aved_model.Infrastructure.t ->
   Aved_model.Resource.t ->
@@ -73,15 +64,9 @@ val downtime_fraction :
 (** The engine's downtime fraction for a model instantiated from this
     entry. [Analytic] and [Memoized] results are cached per
     (n_active, n_min, n_spare) — the full parameter set of those
-    engines; validation engines pass through uncached. *)
-
-type counters = { fresh : int; reused : int }
-
-val downtime_counters : unit -> counters
-(** Process-wide downtime-table hit counters, also exported as telemetry
-    counters [search.eval.downtime.fresh] / [search.eval.downtime.reused]. *)
-
-val reset_downtime_counters : unit -> unit
+    engines; validation engines pass through uncached. Hits and misses
+    are counted as telemetry counters [search.eval.downtime.reused] /
+    [search.eval.downtime.fresh] when a registry is recording. *)
 
 val reset : unit -> unit
 (** Drop the calling domain's cache (tests and benchmarks). *)

@@ -180,51 +180,33 @@ let eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap pair =
   in
   (List.rev !candidates, min_cost)
 
-(* All designs of one option at one total. The mechanism-settings grid
-   is the dominant fan-out of the job search (e.g. the checkpoint
-   interval × storage-location grid of the paper's scientific example),
-   so that is the dimension fanned out over the pool; the merge is by
-   settings index, keeping the candidate order deterministic. *)
-let enumerate_and_min ?pool config infra ~tier_name
+(* All designs of one option at one total, in settings order. *)
+let enumerate_and_min config infra ~tier_name
     ~(option : Model.Service.resource_option) ~job_size ~max_time ~total
     ?cost_cap () =
   let splits = feasible_splits config ~option ~job_size ~max_time ~total in
   if splits = [] then ([], None)
-  else begin
-  let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
-  let eval pair =
-    eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap pair
-  in
-  let per_settings =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 && List.length pairs > 1 ->
-        (* Cache entries are domain-local: ship only the settings and
-           let each worker resolve them in its own cache. *)
-        Pool.map pool
-          (fun (settings, _) ->
-            eval
-              ( settings,
-                Eval_cache.entry ~infra ~tier_name ~option ~settings
-                  ~spare_active:[] ))
-          pairs
-    | Some _ | None -> List.map eval pairs
-  in
-  let candidates = List.concat_map fst per_settings in
-  let min_cost =
-    List.fold_left
-      (fun acc (_, m) ->
-        match (acc, m) with
-        | None, m | m, None -> m
-        | Some a, Some b -> Some (Money.min a b))
-      None per_settings
-  in
-  (candidates, min_cost)
-  end
+  else
+    let per_settings =
+      List.map
+        (eval_settings config ~tier_name ~option ~job_size ~splits ?cost_cap)
+        (Eval_cache.settings_entries ~infra ~tier_name ~option)
+    in
+    let candidates = List.concat_map fst per_settings in
+    let min_cost =
+      List.fold_left
+        (fun acc (_, m) ->
+          match (acc, m) with
+          | None, m | m, None -> m
+          | Some a, Some b -> Some (Money.min a b))
+        None per_settings
+    in
+    (candidates, min_cost)
 
-let enumerate_total ?pool config infra ~tier_name ~option ~job_size ~max_time
+let enumerate_total config infra ~tier_name ~option ~job_size ~max_time
     ~total ?cost_cap () =
   fst
-    (enumerate_and_min ?pool config infra ~tier_name ~option ~job_size
+    (enumerate_and_min config infra ~tier_name ~option ~job_size
        ~max_time ~total ?cost_cap ())
 
 (* As {!enumerate_and_min}, but reduced on the fly to what the optimal
@@ -235,69 +217,41 @@ let enumerate_total ?pool config infra ~tier_name ~option ~job_size ~max_time
    and keeps the earlier candidate on [compare_total] ties, so the
    selected design is identical. Used when provenance is off; the
    explain path wants the full lists. *)
-let enumerate_reduced ?pool config infra ~tier_name
+let enumerate_reduced config infra ~tier_name
     ~(option : Model.Service.resource_option) ~job_size ~max_time ~total
     ?cost_cap () =
   let splits = feasible_splits config ~option ~job_size ~max_time ~total in
   if splits = [] then (None, Float.infinity, None)
   else begin
-    let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
-    let eval pair =
-      let best = ref None in
-      let min_time = ref Float.infinity in
-      let emit c =
-        let t = Duration.seconds c.execution_time in
-        if t < !min_time then min_time := t;
-        if Duration.compare c.execution_time max_time <= 0 then
-          match !best with
-          | Some b when not (better c b) -> ()
-          | Some _ | None -> best := Some c
-      in
-      let min_cost =
-        eval_settings_fold config ~tier_name ~option ~job_size ~splits
-          ?cost_cap ~emit pair
-      in
-      (!best, !min_time, min_cost)
+    let best = ref None in
+    let min_time = ref Float.infinity in
+    let emit c =
+      let t = Duration.seconds c.execution_time in
+      if t < !min_time then min_time := t;
+      if Duration.compare c.execution_time max_time <= 0 then
+        match !best with
+        | Some b when not (better c b) -> ()
+        | Some _ | None -> best := Some c
     in
-    let per_settings =
-      match pool with
-      | Some pool when Pool.jobs pool > 1 && List.length pairs > 1 ->
-          Pool.map pool
-            (fun (settings, _) ->
-              eval
-                ( settings,
-                  Eval_cache.entry ~infra ~tier_name ~option ~settings
-                    ~spare_active:[] ))
-            pairs
-      | Some _ | None -> List.map eval pairs
-    in
-    (* Merge in settings order with the same tie rule as the flat
-       iteration, so parallel completion order cannot change the
-       result. *)
-    List.fold_left
-      (fun (best, min_time, min_cost) (b, t, m) ->
-        let best =
-          match (best, b) with
-          | None, b -> b
-          | best, None -> best
-          | Some incumbent, Some challenger ->
-              if better challenger incumbent then Some challenger
-              else Some incumbent
-        in
-        let min_cost =
-          match (min_cost, m) with
+    let min_cost =
+      List.fold_left
+        (fun acc pair ->
+          match
+            ( acc,
+              eval_settings_fold config ~tier_name ~option ~job_size ~splits
+                ?cost_cap ~emit pair )
+          with
           | None, m | m, None -> m
-          | Some a, Some b -> Some (Money.min a b)
-        in
-        (best, Float.min min_time t, min_cost))
-      (None, Float.infinity, None)
-      per_settings
+          | Some a, Some b -> Some (Money.min a b))
+        None
+        (Eval_cache.settings_entries ~infra ~tier_name ~option)
+    in
+    (!best, !min_time, min_cost)
   end
 
 let start_total ~(option : Model.Service.resource_option) ~job_size ~max_time =
-  List.find_opt
-    (fun n -> feasible_n ~option ~job_size ~max_time n)
-    (Model.Int_range.to_list option.n_active)
+  Model.Int_range.find_first option.n_active
+    (feasible_n ~option ~job_size ~max_time)
 
 let option_limit config (option : Model.Service.resource_option) =
   Stdlib.min config.Search_config.max_total_resources
@@ -309,7 +263,7 @@ let option_limit config (option : Model.Service.resource_option) =
    the evaluation cap below the branch-local best — it skips
    availability evaluations that provably cannot win, without touching
    the branch's stopping logic. *)
-let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
+let search_option ?shared config infra ~tier_name ~option ~job_size
     ~max_time () =
   Telemetry.Counter.incr Search_metrics.options_searched;
   match start_total ~option ~job_size ~max_time with
@@ -343,7 +297,7 @@ let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
         let candidates, min_time_all, min_cost_all =
           if Provenance.enabled () then
             let candidates, min_cost_all =
-              enumerate_and_min ?pool config infra ~tier_name ~option
+              enumerate_and_min config infra ~tier_name ~option
                 ~job_size ~max_time ~total:!total ?cost_cap ()
             in
             let min_time_all =
@@ -355,7 +309,7 @@ let search_option ?pool ?shared config infra ~tier_name ~option ~job_size
             (candidates, min_time_all, min_cost_all)
           else
             let best_here, min_time_all, min_cost_all =
-              enumerate_reduced ?pool config infra ~tier_name ~option
+              enumerate_reduced config infra ~tier_name ~option
                 ~job_size ~max_time ~total:!total ?cost_cap ()
             in
             ( (match best_here with Some c -> [ c ] | None -> []),
@@ -438,7 +392,7 @@ let optimal ?pool config infra ~(tier : Model.Service.tier) ~job_size
     Pool.map pool
       (fun option ->
         let body () =
-          search_option ~pool ~shared config infra
+          search_option ~shared config infra
             ~tier_name:tier.tier_name ~option ~job_size ~max_time ()
         in
         if Telemetry.enabled () then

@@ -7,12 +7,12 @@
     location. Counts below the failure-free feasibility threshold are
     skipped without evaluation.
 
-    With [config.jobs > 1] the resource options and the
-    mechanism-settings grid are searched on a domain pool; results are
-    bit-identical to the sequential search (candidates are ranked
-    under a total order — cost, execution time, then
-    {!Aved_model.Design.compare_tier} — and cross-branch pruning uses
-    only sound cost bounds). *)
+    With [config.jobs > 1] the resource options are searched on a
+    domain pool, each option's mechanism-settings grid sequentially
+    within its task; results are bit-identical to the sequential
+    search (candidates are ranked under a total order — cost,
+    execution time, then {!Aved_model.Design.compare_tier} — and
+    cross-branch pruning uses only sound cost bounds). *)
 
 module Duration = Aved_units.Duration
 module Money = Aved_units.Money

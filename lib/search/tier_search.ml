@@ -52,12 +52,11 @@ let eval_settings config _infra ~tier_name
       and pruned = ref 0
       and rejected = ref 0 in
       let n_values =
-        List.filter
-          (fun n ->
-            n >= n_min && n <= total
-            && n - n_min <= config.Search_config.max_extra_resources
-            && total - n <= config.Search_config.max_spares)
-          (Model.Int_range.to_list option.n_active)
+        Model.Int_range.members option.n_active
+          ~lo:(Stdlib.max n_min (total - config.Search_config.max_spares))
+          ~hi:
+            (Stdlib.min total
+               (n_min + config.Search_config.max_extra_resources))
       in
       List.iter
         (fun n_active ->
@@ -119,29 +118,13 @@ let eval_settings config _infra ~tier_name
         ~evaluated:!evaluated ~pruned:!pruned ~rejected:!rejected;
       (List.rev !candidates, !min_cost)
 
-(* All designs of one option at one total, fanned out over the
-   mechanism-settings combinations when a pool is given. The merge is
-   by settings index, so the candidate list is identical to the
-   sequential enumeration. *)
-let enumerate_and_min ?pool config infra ~tier_name
+(* All designs of one option at one total, in settings order. *)
+let enumerate_and_min config infra ~tier_name
     ~(option : Model.Service.resource_option) ~demand ~total ?cost_cap () =
-  let pairs = Eval_cache.settings_entries ~infra ~tier_name ~option in
-  let eval pair =
-    eval_settings config infra ~tier_name ~option ~demand ~total ?cost_cap pair
-  in
   let per_settings =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 && List.length pairs > 1 ->
-        (* Cache entries are domain-local: ship only the settings and
-           let each worker resolve them in its own cache. *)
-        Pool.map pool
-          (fun (settings, _) ->
-            eval
-              ( settings,
-                Eval_cache.entry ~infra ~tier_name ~option ~settings
-                  ~spare_active:[] ))
-          pairs
-    | Some _ | None -> List.map eval pairs
+    List.map
+      (eval_settings config infra ~tier_name ~option ~demand ~total ?cost_cap)
+      (Eval_cache.settings_entries ~infra ~tier_name ~option)
   in
   let candidates = List.concat_map fst per_settings in
   let min_cost =
@@ -190,7 +173,7 @@ let max_total_for config start =
    evaluations that provably cannot produce the global optimum, and
    skipping them changes neither this branch's stopping points nor the
    merged result (see Aved_parallel.Incumbent). *)
-let search_option ?pool ?shared config infra ~tier_name
+let search_option ?shared config infra ~tier_name
     ~(option : Model.Service.resource_option) ~demand ~max_downtime () =
   Telemetry.Counter.incr Search_metrics.options_searched;
   let resource = Model.Infrastructure.resource_exn infra option.resource in
@@ -225,7 +208,7 @@ let search_option ?pool ?shared config infra ~tier_name
                 | None -> cap)
         in
         let candidates, min_cost_all =
-          enumerate_and_min ?pool config infra ~tier_name ~option ~demand
+          enumerate_and_min config infra ~tier_name ~option ~demand
             ~total:!total ?cost_cap ()
         in
         let feasible =
@@ -331,7 +314,7 @@ let optimal ?pool config infra ~(tier : Model.Service.tier) ~demand
     Pool.map pool
       (fun option ->
         let body () =
-          search_option ~pool ~shared config infra
+          search_option ~shared config infra
             ~tier_name:tier.tier_name ~option ~demand ~max_downtime ()
         in
         if Telemetry.enabled () then

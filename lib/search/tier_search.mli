@@ -12,9 +12,10 @@
     incumbent, or — when no feasible design has been found — once
     growing the count stops improving the best achievable downtime.
 
-    With [config.jobs > 1] the resource options (and, within an
-    option, the mechanism-settings combinations) are searched on a
-    domain pool; the result is bit-identical to the sequential search
+    With [config.jobs > 1] the resource options (for {!frontier}, the
+    (option, total) counts) are searched on a domain pool, each
+    option's mechanism-settings combinations sequentially within its
+    task; the result is bit-identical to the sequential search
     because candidates are ranked under the total order
     {!Candidate.compare_total} and cross-branch pruning uses only
     sound cost bounds (see {!Aved_parallel.Incumbent}). *)

@@ -140,10 +140,12 @@ let test_stats_and_trace () =
     (contains stderr "telemetry summary");
   Alcotest.(check bool) "candidate counters present" true
     (contains stderr "search.candidates.evaluated");
-  Alcotest.(check bool) "memo counters present" true
-    (contains stderr "avail.memo.hits");
+  (* One-shot commands run the plain analytic engine: the process-wide
+     memo belongs to the serve daemon. *)
   Alcotest.(check bool) "engine histogram present" true
-    (contains stderr "avail.engine.memoized.seconds");
+    (contains stderr "avail.engine.analytic.seconds");
+  Alcotest.(check bool) "no memo counters" false
+    (contains stderr "avail.memo");
   Alcotest.(check bool) "trace is chrome json" true
     (contains trace_content "\"traceEvents\"")
 

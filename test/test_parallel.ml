@@ -383,6 +383,102 @@ let test_service_design_deterministic () =
   | None, None -> Alcotest.fail "scenario unexpectedly infeasible"
   | _ -> Alcotest.fail "feasibility differs"
 
+(* No shipped spec uses a geometric or explicit nActive range: the
+   application tier and the scientific tier again, restricted to
+   powers of two and to an explicit list. *)
+let odd_ranges_service =
+  {|application=odd_ranges jobsize=10000
+tier=application
+  resource=rC sizing=dynamic failurescope=resource nActive=[1-1024,*2]
+    performance=200*n
+  resource=rE sizing=dynamic failurescope=resource nActive=[2,3,5,8]
+    performance=1600*n
+tier=computation
+  resource=rH sizing=static failurescope=tier nActive=[1-1024,*2]
+    performance=(10*n)/(1+0.004*n)
+    mechanism=checkpoint
+      mperformance(storage_location=central)=if n <= 30 then max(10/checkpoint_interval, 100%) else max(n/(3*checkpoint_interval), 100%)
+      mperformance(storage_location=peer)=max(20/checkpoint_interval, 100%)
+  resource=rI sizing=static failurescope=tier nActive=[2,3,5,8]
+    performance=(100*n)/(1+0.004*n)
+|}
+
+let odd_ranges_tier name =
+  Option.get
+    (Service.find_tier
+       (Aved_spec.Spec.service_of_string odd_ranges_service)
+       name)
+
+let check_member (tier : Service.tier) (d : Design.tier_design) =
+  match
+    List.find_opt
+      (fun (o : Service.resource_option) -> o.resource = d.resource)
+      tier.options
+  with
+  | Some o ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s x%d is in %s" d.resource d.n_active
+           (Int_range.to_string o.n_active))
+        true
+        (Int_range.mem o.n_active d.n_active)
+  | None -> Alcotest.failf "design uses unknown resource %s" d.resource
+
+let test_odd_ranges_tier_deterministic () =
+  let tier = odd_ranges_tier "application" in
+  List.iter
+    (fun demand ->
+      let optimal jobs =
+        Tier_search.optimal (config_with_jobs jobs) (infra ()) ~tier ~demand
+          ~max_downtime:(Duration.of_minutes 100.)
+      in
+      (match (optimal 1, optimal 2) with
+      | Some a, Some b ->
+          check_candidate_equal (Printf.sprintf "optimal at %g" demand) a b;
+          check_member tier a.design
+      | None, None -> Alcotest.failf "infeasible at demand %g" demand
+      | _ -> Alcotest.failf "feasibility differs at demand %g" demand);
+      let frontier jobs =
+        Tier_search.frontier (config_with_jobs jobs) (infra ()) ~tier ~demand
+      in
+      let a = frontier 1 and b = frontier 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "frontier at %g is not empty" demand)
+        true (a <> []);
+      Alcotest.(check int)
+        (Printf.sprintf "frontier size at %g" demand)
+        (List.length a) (List.length b);
+      List.iter2
+        (check_candidate_equal (Printf.sprintf "frontier point at %g" demand))
+        a b;
+      List.iter (fun (c : Candidate.t) -> check_member tier c.design) a)
+    [ 400.; 1000.; 2600. ]
+
+let test_odd_ranges_job_deterministic () =
+  let tier = odd_ranges_tier "computation" in
+  let infra = Aved.Experiments.infrastructure_bronze () in
+  List.iter
+    (fun hours ->
+      let run jobs =
+        Job_search.optimal
+          (Search_config.with_jobs jobs Aved.Experiments.fig7_config)
+          infra ~tier ~job_size:Aved.Experiments.scientific_job_size
+          ~max_time:(Duration.of_hours hours)
+      in
+      match (run 1, run 2) with
+      | Some a, Some b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "same design at %gh" hours)
+            true
+            (Design.compare_tier a.Job_search.design b.Job_search.design = 0);
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "same time at %gh" hours)
+            (Duration.seconds a.Job_search.execution_time)
+            (Duration.seconds b.Job_search.execution_time);
+          check_member tier a.Job_search.design
+      | None, None -> Alcotest.failf "infeasible at %gh" hours
+      | _ -> Alcotest.failf "feasibility differs at %gh" hours)
+    [ 24.; 100.; 1000. ]
+
 let test_fig6_subset_deterministic () =
   let run jobs =
     Aved.Figures.fig6
@@ -455,5 +551,9 @@ let () =
             test_service_design_deterministic;
           Alcotest.test_case "fig6 subset: jobs 1 = jobs 4" `Quick
             test_fig6_subset_deterministic;
+          Alcotest.test_case "geometric and explicit nActive: tier search"
+            `Quick test_odd_ranges_tier_deterministic;
+          Alcotest.test_case "geometric and explicit nActive: job search"
+            `Quick test_odd_ranges_job_deterministic;
         ] );
     ]

@@ -127,6 +127,71 @@ let int_range_next_above =
           && not (List.exists (fun x -> x >= n && x < v) (Int_range.to_list r))
       | None -> List.for_all (fun x -> x < n) (Int_range.to_list r))
 
+(* The shape-computed queries and walks against a filter of the
+   materialized list, over all four range shapes. The seed is printed
+   by QCheck_alcotest ("qcheck random seed: N"); rerun a failure with
+   QCHECK_SEED=N. *)
+let print_range_int (r, n) = Printf.sprintf "(%s, %d)" (Int_range.to_string r) n
+
+(* The oracle's anchor: members enumerated naively from the shape,
+   sharing no code with [Int_range]. *)
+let naive_members = function
+  | Int_range.Singleton n -> [ n ]
+  | Int_range.Arithmetic { lo; hi; step } ->
+      List.filter
+        (fun v -> (v - lo) mod step = 0)
+        (List.init (hi - lo + 1) (fun i -> lo + i))
+  | Int_range.Geometric { lo; hi; factor } ->
+      let rec from v = if v > hi then [] else v :: from (v * factor) in
+      from lo
+  | Int_range.Explicit values -> values
+
+let int_range_to_list_naive =
+  QCheck2.Test.make ~name:"to_list enumerates the shape" ~count:300
+    ~print:Int_range.to_string gen_int_range (fun r ->
+      Int_range.to_list r = naive_members r)
+
+let int_range_min_max =
+  QCheck2.Test.make ~name:"min_value/max_value are the ends of to_list"
+    ~count:300 ~print:Int_range.to_string gen_int_range (fun r ->
+      let members = Int_range.to_list r in
+      Int_range.min_value r = List.hd members
+      && Int_range.max_value r = List.nth members (List.length members - 1))
+
+let int_range_find_first =
+  QCheck2.Test.make
+    ~name:"find_first visits members in order and stops at the first hit"
+    ~count:300
+    ~print:(fun ((r, n), k) -> Printf.sprintf "%s, k=%d" (print_range_int (r, n)) k)
+    QCheck2.Gen.(pair (pair gen_int_range (int_range 0 250)) (int_range 1 4))
+    (fun ((r, n), k) ->
+      let p v = v >= n && v mod k = 0 in
+      let visited = ref [] in
+      let found =
+        Int_range.find_first r (fun v ->
+            visited := v :: !visited;
+            p v)
+      in
+      let members = Int_range.to_list r in
+      let expected = List.find_opt p members in
+      let prefix =
+        match expected with
+        | None -> members
+        | Some hit -> List.filter (fun v -> v <= hit) members
+      in
+      found = expected && List.rev !visited = prefix)
+
+let int_range_members =
+  QCheck2.Test.make ~name:"members ~lo ~hi is the window of to_list"
+    ~count:300
+    ~print:(fun ((r, lo), hi) ->
+      Printf.sprintf "%s, hi=%d" (print_range_int (r, lo)) hi)
+    QCheck2.Gen.(
+      pair (pair gen_int_range (int_range (-5) 250)) (int_range (-5) 250))
+    (fun ((r, lo), hi) ->
+      Int_range.members r ~lo ~hi
+      = List.filter (fun v -> v >= lo && v <= hi) (Int_range.to_list r))
+
 (* ------------------------------------------------------------------ *)
 (* Reliability *)
 
@@ -362,6 +427,10 @@ let () =
           qtest int_range_mem_consistent;
           qtest int_range_sorted;
           qtest int_range_next_above;
+          qtest int_range_to_list_naive;
+          qtest int_range_min_max;
+          qtest int_range_find_first;
+          qtest int_range_members;
         ] );
       ( "reliability",
         [ qtest k_out_of_n_monotone_in_k; qtest series_bounded_by_weakest ] );

@@ -1215,10 +1215,15 @@ let coalescing_stat field =
   | _ -> Alcotest.fail "stats result is not an object"
 
 (* Park both dispatchers on distinct blocker designs so a subsequent
-   herd's leader sits queued while its twins arrive and attach. *)
+   herd's leader sits queued while its twins arrive and attach. The
+   herd's window is the time the dispatchers take to work through the
+   blockers, so there are enough of them to keep it open when a busy
+   host delays the herd's sends. *)
+let blocker_count = 8
+
 let with_parked_dispatchers ~blocker_load f =
   let blockers =
-    Array.init 4 (fun j ->
+    Array.init blocker_count (fun j ->
         let c = connect_client () in
         send_only c
           (Protocol.request_line ~id:(Json.Int (-1 - j)) Protocol.Design
@@ -1280,7 +1285,7 @@ let test_coalescing_herd () =
     true
     (coalesced >= herd_size / 2);
   let searches =
-    stats_counter "server.requests.design" - searches_before - 4 (* blockers *)
+    stats_counter "server.requests.design" - searches_before - blocker_count
   in
   Alcotest.(check bool)
     (Printf.sprintf "few underlying searches (%d)" searches)
